@@ -50,6 +50,8 @@ struct SliceScan {
 // (elementwise min) into final rankings. `labels_by_id` maps dense class
 // ids to page labels; `n_total` is the store's total row count, bounding k
 // exactly as rank_batch does. Slice fold order does not affect the result.
+// Like rank_batch on a pruned store, it sorts only the classes some slice
+// reached and appends the rest in ascending label order.
 std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> labels_by_id,
                                                         int k, std::size_t n_total,
                                                         const std::vector<SliceScan>& slices);
@@ -64,8 +66,18 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
 // norms cached per shard), a per-shard top-k candidate heap, and an exact
 // merge of the shard candidates into the global ranking — votes and
 // per-class nearest distances are identical to a single unsharded scan.
-// rank_batch shards query blocks across the thread pool; the scalar rank()
-// shards the reference scan itself across the pool.
+//
+// On exhaustive stores rank_batch splits query blocks across the thread
+// pool and the scalar rank() splits the shard scan itself. On pruned (IVF)
+// stores rank, rank_batch and scan_slice run the cell-major batch schedule
+// of core/probe_scan.hpp: every query is probed, each probed cell is
+// streamed once through one GEMM over all the queries that probe it, and
+// each query's (cell, query) pairs are folded into sparse per-class state.
+// Its finalize sorts only the classes the scan touched (nearest distance
+// below 1e300, or a vote) and appends the rest — 0 votes, distance 1e300 —
+// in ascending label order, which is exactly where the dense sort puts
+// them. rank_batch on a pruned store records the obs spans probe, scan and
+// finalize once per call.
 class KnnClassifier {
  public:
   explicit KnnClassifier(int k) : k_(k) {}

@@ -52,9 +52,10 @@ class OpenWorldDetector {
 
   bool is_monitored(const ReferenceStore& references, std::span<const float> embedding) const;
 
-  // k-th-neighbour distance for every row of `embeddings`.
+  // k-th-neighbour distance for every row of `embeddings`, and for one.
   std::vector<double> kth_distances(const ReferenceStore& references,
                                     const nn::Matrix& embeddings) const;
+  double kth_distance(const ReferenceStore& references, std::span<const float> embedding) const;
 
   OpenWorldMetrics evaluate(const ReferenceStore& references, const nn::Matrix& monitored,
                             const nn::Matrix& unmonitored) const;
@@ -78,7 +79,6 @@ class OpenWorldDetector {
   bool neighbour_clamp_fired() const noexcept { return clamp_fired_.load(); }
 
  private:
-  double kth_distance(const ReferenceStore& references, std::span<const float> embedding) const;
   void require_calibrated(const char* what) const;
   void note_neighbour_clamp(std::size_t rows) const;
 

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 namespace wf::core {
@@ -53,5 +55,52 @@ class ReferenceStore {
     for (std::size_t s = 0; s < shard_count(); ++s) out.push_back(s);
   }
 };
+
+namespace detail {
+
+// The remove_class rule of the mutable stores (ShardedReferenceSet,
+// IvfReferenceStore): drop class id `gone` without re-deriving the id space.
+// Later ids shift down by one, so ids stay dense and the remaining classes
+// keep their relative order. Nothing depends on that order — rankings break
+// ties by label — but keeping it makes a removal O(rows + classes) instead
+// of a rehash of every row.
+//
+// drop_class_rows compacts one shard's tables (any type with data, labels,
+// sq_norms, class_ids and row_ids members) in place and re-maps the
+// surviving rows' ids in the same pass; returns the rows dropped.
+template <typename Tables>
+std::size_t drop_class_rows(Tables& t, std::size_t dim, int gone) {
+  const std::size_t rows = t.class_ids.size();
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const int id = t.class_ids[i];
+    if (id == gone) continue;
+    if (keep != i) {
+      std::copy_n(t.data.data() + i * dim, dim, t.data.data() + keep * dim);
+      t.sq_norms[keep] = t.sq_norms[i];
+      t.row_ids[keep] = t.row_ids[i];
+      t.labels[keep] = t.labels[i];
+    }
+    t.class_ids[keep] = id > gone ? id - 1 : id;
+    ++keep;
+  }
+  t.data.resize(keep * dim);
+  t.sq_norms.resize(keep);
+  t.class_ids.resize(keep);
+  t.row_ids.resize(keep);
+  t.labels.resize(keep);
+  return rows - keep;
+}
+
+// Erases `gone` from the label <-> id tables and re-points the shifted ids.
+inline void drop_class_id(std::vector<int>& id_to_label,
+                          std::unordered_map<int, int>& label_to_id, int gone) {
+  label_to_id.erase(id_to_label[static_cast<std::size_t>(gone)]);
+  id_to_label.erase(id_to_label.begin() + gone);
+  for (std::size_t id = static_cast<std::size_t>(gone); id < id_to_label.size(); ++id)
+    label_to_id[id_to_label[id]] = static_cast<int>(id);
+}
+
+}  // namespace detail
 
 }  // namespace wf::core

@@ -30,8 +30,9 @@ class ShardedReferenceSet final : public ReferenceStore {
   void add(std::span<const float> embedding, int label);
   void add_all(const nn::Matrix& embeddings, const std::vector<int>& labels);
 
-  // Drop every reference of `label`: per-shard compaction, then a rebuild
-  // of the global dense class-id space (stale ids never survive a swap).
+  // Drop every reference of `label`: per-shard compaction that also re-maps
+  // the surviving rows' class ids (detail::drop_class_rows — later ids shift
+  // down by one, so ids stay dense and stale ids never survive a swap).
   void remove_class(int label);
 
   // ReferenceStore
@@ -82,8 +83,6 @@ class ShardedReferenceSet final : public ReferenceStore {
     std::vector<int> class_ids;          // dense global id per row
     std::vector<std::uint64_t> row_ids;  // global insertion number per row
   };
-
-  void rebuild_class_ids();
 
   std::size_t dim_ = 0;
   std::size_t size_ = 0;           // rows across all shards

@@ -123,7 +123,6 @@ class IvfReferenceStore final : public core::ReferenceStore {
   void build_from_rows(const float* data, const int* labels, const std::uint64_t* row_ids,
                        std::size_t n);
   std::size_t nearest_centroid(const float* row) const;
-  void rebuild_class_ids();
   void count_probe(const std::vector<std::size_t>& out) const;
 
   IvfConfig config_;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/probe_scan.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -13,7 +15,8 @@ namespace wf::core {
 
 namespace {
 
-constexpr std::size_t kQueryBlock = 32;  // queries per GEMM tile / pool task
+constexpr std::size_t kQueryBlock = 32;  // queries per GEMM tile / pool task (exhaustive)
+constexpr double kUnreached = 1e300;     // per-class distance of a class no row reached
 
 // Candidates (see knn.hpp): insertion ids are unique, so comparing packed
 // keys compares insertion ids — pair's lexicographic < therefore orders
@@ -82,42 +85,220 @@ void scan_shard(const ShardView& shard, const float* dots, double query_norm, st
     scan_shard_impl<false>(shard, dots, query_norm, k, heap, best, merged);
 }
 
-// Keep the k globally smallest candidates, count their votes per class and
-// emit the sorted ranking. The union of per-shard k-best lists always
-// contains the global k best, so this equals the unsharded selection; the
-// candidate set selected by nth_element is order-independent because keys
-// are unique, which is what makes the scatter/gather fold exact.
-template <typename LabelOf>
-void finalize_candidates(std::size_t n_ids, LabelOf label_of, std::size_t k,
-                         std::vector<Candidate>& merged, std::vector<int>& votes,
-                         const double* best, std::vector<RankedLabel>& out) {
-  if (merged.size() > k) {
-    std::nth_element(merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(k),
-                     merged.end());
-    merged.resize(k);
-  }
+// Keep the k globally smallest candidates. The union of per-shard k-best
+// lists always contains the global k best, so this equals the unsharded
+// selection; the candidate set selected by nth_element is order-independent
+// because keys are unique, which is what makes the scatter/gather fold exact.
+void keep_nearest(std::size_t k, std::vector<Candidate>& merged) {
+  if (merged.size() <= k) return;
+  std::nth_element(merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(k),
+                   merged.end());
+  merged.resize(k);
+}
+
+int class_of(const Candidate& c) { return static_cast<int>(c.second & kClassMask); }
+
+// The ranking order: most votes, then nearest reference, then label.
+bool ranks_before(const RankedLabel& a, const RankedLabel& b) {
+  if (a.votes != b.votes) return a.votes > b.votes;
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.label < b.label;
+}
+
+// Sorts by ranks_before. Voted classes rank first whatever their distance,
+// so the (at most k) voted entries and the long unvoted part sort apart:
+// the same order, with the votes comparison dropped from the long part.
+void sort_ranking(std::vector<RankedLabel>& out) {
+  const auto voted = std::partition(out.begin(), out.end(),
+                                    [](const RankedLabel& r) { return r.votes > 0; });
+  std::sort(out.begin(), voted, ranks_before);
+  std::sort(voted, out.end(), [](const RankedLabel& a, const RankedLabel& b) {
+    return a.distance != b.distance ? a.distance < b.distance : a.label < b.label;
+  });
+}
+
+// Dense finalize for exhaustive stores, whose scan reaches every class:
+// count the k nearest candidates' votes and sort every class.
+void finalize_dense(const ReferenceStore& refs, std::size_t k, std::vector<Candidate>& merged,
+                    std::vector<int>& votes, const double* best,
+                    std::vector<RankedLabel>& out) {
+  const std::size_t n_ids = refs.n_class_ids();
+  keep_nearest(k, merged);
   votes.assign(n_ids, 0);
   for (const Candidate& c : merged) {
-    WF_DCHECK((c.second & kClassMask) < n_ids, "finalize: candidate class id out of range");
-    ++votes[static_cast<std::size_t>(c.second & kClassMask)];
+    WF_DCHECK(static_cast<std::size_t>(class_of(c)) < n_ids,
+              "finalize: candidate class id out of range");
+    ++votes[static_cast<std::size_t>(class_of(c))];
   }
   out.clear();
   out.reserve(n_ids);
   for (std::size_t id = 0; id < n_ids; ++id)
-    out.push_back({label_of(id), votes[id], best[id]});
-  std::sort(out.begin(), out.end(), [](const RankedLabel& a, const RankedLabel& b) {
-    if (a.votes != b.votes) return a.votes > b.votes;
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.label < b.label;
-  });
+    out.push_back({refs.label_of_id(id), votes[id], best[id]});
+  sort_ranking(out);
 }
 
-void finalize_ranking(const ReferenceStore& refs, std::size_t k, std::vector<Candidate>& merged,
-                      std::vector<int>& votes, const double* best,
-                      std::vector<RankedLabel>& out) {
-  finalize_candidates(
-      refs.n_class_ids(), [&](std::size_t id) { return refs.label_of_id(id); }, k, merged,
-      votes, best, out);
+// Per-thread dense class state for the sparse finalize, sized to the
+// class-id space and kept at its neutral values (kUnreached, 0 votes,
+// unmarked) between uses: only the ids a query touched are reset, so a
+// query costs O(classes it reached), not O(classes).
+struct ClassState {
+  static constexpr std::uint8_t kTouched = 1;
+  static constexpr std::uint8_t kRanked = 2;
+
+  std::vector<double> best;
+  std::vector<int> votes;
+  std::vector<std::uint8_t> mark;
+  std::vector<int> touched;
+
+  void fit(std::size_t n_ids) {
+    if (best.size() >= n_ids) return;
+    best.resize(n_ids, kUnreached);
+    votes.resize(n_ids, 0);
+    mark.resize(n_ids, 0);
+  }
+  void touch(int id) {
+    if (mark[static_cast<std::size_t>(id)] != 0) return;
+    mark[static_cast<std::size_t>(id)] = kTouched;
+    touched.push_back(id);
+  }
+  void reach(int id, double dist) {
+    touch(id);
+    double& b = best[static_cast<std::size_t>(id)];
+    if (dist < b) b = dist;
+  }
+  void reset() {
+    for (const int id : touched) {
+      best[static_cast<std::size_t>(id)] = kUnreached;
+      votes[static_cast<std::size_t>(id)] = 0;
+      mark[static_cast<std::size_t>(id)] = 0;
+    }
+    touched.clear();
+  }
+};
+
+ClassState& class_state(std::size_t n_ids) {
+  thread_local ClassState s;
+  s.fit(n_ids);
+  return s;
+}
+
+// Class ids in ascending label order: the tail of a sparse ranking. Built
+// on first use and shared by the call's queries, so a call whose queries
+// reach every class never sorts labels.
+class LabelOrder {
+ public:
+  explicit LabelOrder(std::span<const int> labels) : labels_(labels) {}
+
+  const std::vector<int>& ids() {
+    std::call_once(built_, [this] {
+      ids_.resize(labels_.size());
+      std::iota(ids_.begin(), ids_.end(), 0);
+      std::sort(ids_.begin(), ids_.end(), [this](int a, int b) {
+        return labels_[static_cast<std::size_t>(a)] < labels_[static_cast<std::size_t>(b)];
+      });
+    });
+    return ids_;
+  }
+
+ private:
+  std::span<const int> labels_;
+  std::vector<int> ids_;
+  std::once_flag built_;
+};
+
+// Sparse finalize: the classes the query touched (nearest distance below
+// kUnreached, or a vote) are sorted; every other class follows with 0 votes
+// and distance kUnreached in ascending label order. That tail is exactly
+// where the dense sort puts those classes, so the ranking is bit-identical
+// to finalize_dense over the same per-class state. Leaves `cs` neutral.
+void finalize_sparse(std::span<const int> labels, LabelOrder& order, std::size_t k,
+                     std::vector<Candidate>& merged, ClassState& cs,
+                     std::vector<RankedLabel>& out) {
+  keep_nearest(k, merged);
+  for (const Candidate& c : merged) {
+    WF_DCHECK(static_cast<std::size_t>(class_of(c)) < labels.size(),
+              "finalize: candidate class id out of range");
+    cs.touch(class_of(c));
+    ++cs.votes[static_cast<std::size_t>(class_of(c))];
+  }
+  out.clear();
+  out.reserve(labels.size());
+  for (const int id : cs.touched) {
+    const auto i = static_cast<std::size_t>(id);
+    if (!(cs.best[i] < kUnreached) && cs.votes[i] == 0) continue;
+    out.push_back({labels[i], cs.votes[i], cs.best[i]});
+    cs.mark[i] = ClassState::kRanked;
+  }
+  sort_ranking(out);
+  if (out.size() < labels.size())
+    for (const int id : order.ids())
+      if (cs.mark[static_cast<std::size_t>(id)] != ClassState::kRanked)
+        out.push_back({labels[static_cast<std::size_t>(id)], 0, kUnreached});
+  cs.reset();
+}
+
+// One probed cell's scan for every query that probed it: the cell's
+// distinct class ids (first-appearance order), then per pair (group slot)
+// its nearest distance per class and its min(k, rows) best candidates.
+struct CellHits {
+  std::vector<int> class_ids;
+  std::vector<double> best;      // slots x class_ids.size()
+  std::vector<Candidate> cands;  // slots x kept
+  std::size_t kept = 0;
+};
+
+// Scans probed cell `cell` (group g) for each query of its group, given
+// the group's dots (slots x rows).
+void scan_knn_cell(const detail::CellPlan& plan, std::size_t g, const ShardView& cell,
+                   const float* dots, std::size_t k, std::size_t n_ids, CellHits& out) {
+  ClassState& cs = class_state(n_ids);
+  for (std::size_t j = 0; j < cell.rows; ++j) cs.touch(cell.class_ids[j]);
+  out.class_ids.assign(cs.touched.begin(), cs.touched.end());
+  cs.reset();
+  const std::size_t slots = plan.group_size(g);
+  const std::size_t n_classes = out.class_ids.size();
+  out.kept = std::min(k, cell.rows);
+  out.best.resize(slots * n_classes);
+  out.cands.reserve(slots * out.kept);
+  RankScratch& sc = scratch();
+  for (std::size_t i = 0; i < slots; ++i) {
+    const std::size_t q = plan.pair_query[plan.group_begin[g] + i];
+    // cs.best is the dense per-pair accumulator: read the cell's classes
+    // back and reset them after each pair.
+    scan_shard(cell, dots + i * cell.rows, plan.qnorms[q], k, sc.heap, cs.best.data(),
+               out.cands);
+    double* row = out.best.data() + i * n_classes;
+    for (std::size_t c = 0; c < n_classes; ++c) {
+      double& b = cs.best[static_cast<std::size_t>(out.class_ids[c])];
+      row[c] = b;
+      b = kUnreached;
+    }
+  }
+}
+
+std::vector<CellHits> scan_knn_cells(const ReferenceStore& refs, const detail::CellPlan& plan,
+                                     const float* queries, std::size_t k) {
+  std::vector<CellHits> hits(plan.groups());
+  detail::scan_cells(refs, plan, queries, refs.dim(),
+                     [&](std::size_t g, const ShardView& cell, const float* dots) {
+                       scan_knn_cell(plan, g, cell, dots, k, refs.n_class_ids(), hits[g]);
+                     });
+  return hits;
+}
+
+// Fold query q's pairs: append their candidates to `merged` and hand each
+// (class id, nearest distance) to reach(id, dist), in ascending cell order.
+template <typename Reach>
+void fold_pairs(const detail::CellPlan& plan, const std::vector<CellHits>& hits, std::size_t q,
+                std::vector<Candidate>& merged, Reach&& reach) {
+  for (const std::uint32_t p : plan.pairs_of(q)) {
+    const CellHits& h = hits[plan.pair_group[p]];
+    const std::size_t slot = plan.slot_of(p);
+    const auto first = h.cands.begin() + static_cast<std::ptrdiff_t>(slot * h.kept);
+    merged.insert(merged.end(), first, first + static_cast<std::ptrdiff_t>(h.kept));
+    const double* row = h.best.data() + slot * h.class_ids.size();
+    for (std::size_t c = 0; c < h.class_ids.size(); ++c) reach(h.class_ids[c], row[c]);
+  }
 }
 
 }  // namespace
@@ -128,6 +309,12 @@ std::vector<RankedLabel> KnnClassifier::rank(const ReferenceStore& references,
   if (n == 0) return {};
   if (query.size() != references.dim())
     throw std::invalid_argument("KnnClassifier::rank: query width mismatch");
+  if (references.pruned()) {
+    // IVF-style store: the batch schedule over a batch of one.
+    nn::Matrix one(1, query.size());
+    one.set_row(0, query);
+    return std::move(rank_batch(references, one).front());
+  }
   const std::size_t n_shards = references.shard_count();
   const std::size_t n_ids = references.n_class_ids();
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
@@ -135,19 +322,8 @@ std::vector<RankedLabel> KnnClassifier::rank(const ReferenceStore& references,
 
   RankScratch& sc = scratch();
   sc.merged.clear();
-  sc.best.assign(n_ids, 1e300);
-  if (references.pruned()) {
-    // IVF-style store: scan only the shards the store probes for this
-    // query. With a probe list covering every shard this is bit-identical
-    // to the exhaustive paths below (same candidates, order-independent
-    // merge); with a pruned list it is the ANN approximation.
-    detail::scan_pruned_tile(references, query.data(), 1, references.dim(), 0, 1,
-                             [&](std::size_t, const ShardView& shard, std::size_t,
-                                 const float* dots) {
-                               scan_shard(shard, dots, qnorm, k, sc.heap, sc.best.data(),
-                                          sc.merged);
-                             });
-  } else if (n_shards == 1) {
+  sc.best.assign(n_ids, kUnreached);
+  if (n_shards == 1) {
     // Zero-allocation steady state on the per-trace latency path.
     const ShardView shard = references.shard_view(0);
     sc.dots.resize(shard.rows);
@@ -171,7 +347,7 @@ std::vector<RankedLabel> KnnClassifier::rank(const ReferenceStore& references,
       nn::gemm_nt_serial(query.data(), 1, shard.data, shard.rows, references.dim(),
                          dots.data());
       cands.clear();
-      best.assign(n_ids, 1e300);
+      best.assign(n_ids, kUnreached);
       scan_shard(shard, dots.data(), qnorm, k, heap, best.data(), cands);
       const std::scoped_lock lock(fold_mutex);
       sc.merged.insert(sc.merged.end(), cands.begin(), cands.end());
@@ -179,7 +355,7 @@ std::vector<RankedLabel> KnnClassifier::rank(const ReferenceStore& references,
     });
   }
   std::vector<RankedLabel> ranking;
-  finalize_ranking(references, k, sc.merged, sc.votes, sc.best.data(), ranking);
+  finalize_dense(references, k, sc.merged, sc.votes, sc.best.data(), ranking);
   return ranking;
 }
 
@@ -196,6 +372,33 @@ std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
   const std::size_t n_ids = references.n_class_ids();
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
 
+  if (references.pruned()) {
+    // Cell-major batch scan (core/probe_scan.hpp), then each query's pairs
+    // folded into sparse class state and finalized, in parallel over queries.
+    detail::CellPlan plan;
+    {
+      const obs::Span span("probe");
+      plan = detail::plan_cells(references, queries.data(), m, dim, 0, 1);
+    }
+    std::vector<CellHits> hits;
+    {
+      const obs::Span span("scan");
+      hits = scan_knn_cells(references, plan, queries.data(), k);
+    }
+    const obs::Span span("finalize");
+    std::vector<int> labels(n_ids);
+    for (std::size_t id = 0; id < n_ids; ++id) labels[id] = references.label_of_id(id);
+    LabelOrder order(labels);
+    util::global_pool().parallel_for(0, m, [&](std::size_t q) {
+      ClassState& cs = class_state(n_ids);
+      RankScratch& sc = scratch();
+      sc.merged.clear();
+      fold_pairs(plan, hits, q, sc.merged, [&](int id, double dist) { cs.reach(id, dist); });
+      finalize_sparse(labels, order, k, sc.merged, cs, rankings[q]);
+    });
+    return rankings;
+  }
+
   util::global_pool().parallel_blocks(0, m, kQueryBlock, [&](std::size_t lo, std::size_t hi) {
     // Per-query accumulators for the current tile, reused (capacity intact)
     // across tiles; shards are scanned one after another, each contributing
@@ -211,29 +414,20 @@ std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
       for (std::size_t q = 0; q < rows; ++q)
         sc.qnorms[q] = nn::squared_norm(queries.data() + (t0 + q) * dim, dim);
       for (std::size_t q = 0; q < rows; ++q) merged[q].clear();
-      best.assign(rows * n_ids, 1e300);
-      if (references.pruned()) {
-        detail::scan_pruned_tile(references, queries.data() + t0 * dim, rows, dim, 0, 1,
-                                 [&](std::size_t, const ShardView& shard, std::size_t q,
-                                     const float* dots) {
-                                   scan_shard(shard, dots, sc.qnorms[q], k, sc.heap,
-                                              best.data() + q * n_ids, merged[q]);
-                                 });
-      } else {
-        for (std::size_t s = 0; s < n_shards; ++s) {
-          const ShardView shard = references.shard_view(s);
-          if (shard.rows == 0) continue;
-          sc.dots.resize(rows * shard.rows);
-          nn::gemm_nt_serial(queries.data() + t0 * dim, rows, shard.data, shard.rows, dim,
-                             sc.dots.data());
-          for (std::size_t q = 0; q < rows; ++q)
-            scan_shard(shard, sc.dots.data() + q * shard.rows, sc.qnorms[q], k, sc.heap,
-                       best.data() + q * n_ids, merged[q]);
-        }
+      best.assign(rows * n_ids, kUnreached);
+      for (std::size_t s = 0; s < n_shards; ++s) {
+        const ShardView shard = references.shard_view(s);
+        if (shard.rows == 0) continue;
+        sc.dots.resize(rows * shard.rows);
+        nn::gemm_nt_serial(queries.data() + t0 * dim, rows, shard.data, shard.rows, dim,
+                           sc.dots.data());
+        for (std::size_t q = 0; q < rows; ++q)
+          scan_shard(shard, sc.dots.data() + q * shard.rows, sc.qnorms[q], k, sc.heap,
+                     best.data() + q * n_ids, merged[q]);
       }
       for (std::size_t q = 0; q < rows; ++q)
-        finalize_ranking(references, k, merged[q], sc.votes, best.data() + q * n_ids,
-                         rankings[t0 + q]);
+        finalize_dense(references, k, merged[q], sc.votes, best.data() + q * n_ids,
+                       rankings[t0 + q]);
     }
   });
   return rankings;
@@ -249,7 +443,7 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
   out.n_queries = m;
   out.n_class_ids = references.n_class_ids();
   out.candidates.resize(m);
-  out.best.assign(m * out.n_class_ids, 1e300);
+  out.best.assign(m * out.n_class_ids, kUnreached);
   for (std::size_t s = slice_index; s < references.shard_count(); s += slice_count)
     out.n_rows_scanned += references.shard_view(s).rows;
   if (m == 0 || n == 0) return out;
@@ -262,6 +456,22 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
   // the slice is a partition of one store, not a smaller store.
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
 
+  if (references.pruned()) {
+    // The rank_batch schedule restricted to the slice's cells; the fold
+    // writes each query's row of the dense per-class table PART carries.
+    const detail::CellPlan plan =
+        detail::plan_cells(references, queries.data(), m, dim, slice_index, slice_count);
+    const std::vector<CellHits> hits = scan_knn_cells(references, plan, queries.data(), k);
+    util::global_pool().parallel_for(0, m, [&](std::size_t q) {
+      double* best = out.best.data() + q * n_ids;
+      fold_pairs(plan, hits, q, out.candidates[q], [best](int id, double dist) {
+        double& b = best[static_cast<std::size_t>(id)];
+        if (dist < b) b = dist;
+      });
+    });
+    return out;
+  }
+
   util::global_pool().parallel_blocks(0, m, kQueryBlock, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t t0 = lo; t0 < hi; t0 += kQueryBlock) {
       const std::size_t t1 = std::min(hi, t0 + kQueryBlock);
@@ -270,26 +480,15 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
       sc.qnorms.resize(rows);
       for (std::size_t q = 0; q < rows; ++q)
         sc.qnorms[q] = nn::squared_norm(queries.data() + (t0 + q) * dim, dim);
-      if (references.pruned()) {
-        detail::scan_pruned_tile(references, queries.data() + t0 * dim, rows, dim, slice_index,
-                                 slice_count,
-                                 [&](std::size_t, const ShardView& shard, std::size_t q,
-                                     const float* dots) {
-                                   scan_shard(shard, dots, sc.qnorms[q], k, sc.heap,
-                                              out.best.data() + (t0 + q) * n_ids,
-                                              out.candidates[t0 + q]);
-                                 });
-      } else {
-        for (std::size_t s = slice_index; s < n_shards; s += slice_count) {
-          const ShardView shard = references.shard_view(s);
-          if (shard.rows == 0) continue;
-          sc.dots.resize(rows * shard.rows);
-          nn::gemm_nt_serial(queries.data() + t0 * dim, rows, shard.data, shard.rows, dim,
-                             sc.dots.data());
-          for (std::size_t q = 0; q < rows; ++q)
-            scan_shard(shard, sc.dots.data() + q * shard.rows, sc.qnorms[q], k, sc.heap,
-                       out.best.data() + (t0 + q) * n_ids, out.candidates[t0 + q]);
-        }
+      for (std::size_t s = slice_index; s < n_shards; s += slice_count) {
+        const ShardView shard = references.shard_view(s);
+        if (shard.rows == 0) continue;
+        sc.dots.resize(rows * shard.rows);
+        nn::gemm_nt_serial(queries.data() + t0 * dim, rows, shard.data, shard.rows, dim,
+                           sc.dots.data());
+        for (std::size_t q = 0; q < rows; ++q)
+          scan_shard(shard, sc.dots.data() + q * shard.rows, sc.qnorms[q], k, sc.heap,
+                     out.best.data() + (t0 + q) * n_ids, out.candidates[t0 + q]);
       }
     }
   });
@@ -311,20 +510,20 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
   if (n_total == 0) return rankings;
   const std::size_t kk =
       std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k)), n_total);
+  // The touched classes of a query are those some slice reached (folded
+  // best below kUnreached); the sparse finalize sorts only those.
+  LabelOrder order(labels_by_id);
   std::vector<Candidate> merged;
-  std::vector<double> best;
-  std::vector<int> votes;
+  ClassState& cs = class_state(n_ids);
   for (std::size_t q = 0; q < m; ++q) {
     merged.clear();
-    best.assign(n_ids, 1e300);
     for (const SliceScan& slice : slices) {
       merged.insert(merged.end(), slice.candidates[q].begin(), slice.candidates[q].end());
       const double* slice_best = slice.best_of(q);
-      for (std::size_t id = 0; id < n_ids; ++id) best[id] = std::min(best[id], slice_best[id]);
+      for (std::size_t id = 0; id < n_ids; ++id)
+        if (slice_best[id] < kUnreached) cs.reach(static_cast<int>(id), slice_best[id]);
     }
-    finalize_candidates(
-        n_ids, [&](std::size_t id) { return labels_by_id[id]; }, kk, merged, votes,
-        best.data(), rankings[q]);
+    finalize_sparse(labels_by_id, order, kk, merged, cs, rankings[q]);
   }
   return rankings;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,7 +16,7 @@ namespace wf::core {
 
 namespace {
 
-constexpr std::size_t kQueryBlock = 32;
+constexpr std::size_t kQueryBlock = 32;  // queries per GEMM tile / pool task (exhaustive)
 
 // Append this shard's `count` smallest squared distances to `merged`, given
 // the query's dot products against the shard's rows.
@@ -66,6 +68,12 @@ void OpenWorldDetector::note_neighbour_clamp(std::size_t rows) const {
 
 double OpenWorldDetector::kth_distance(const ReferenceStore& references,
                                        std::span<const float> embedding) const {
+  if (references.pruned()) {
+    // IVF-style store: the batch schedule over a batch of one.
+    nn::Matrix one(1, embedding.size());
+    one.set_row(0, embedding);
+    return kth_distances(references, one).front();
+  }
   const std::size_t n = references.size();
   const std::size_t neighbour = static_cast<std::size_t>(std::max(1, config_.neighbour));
   if (n < neighbour) note_neighbour_clamp(n);
@@ -79,15 +87,6 @@ double OpenWorldDetector::kth_distance(const ReferenceStore& references,
   thread_local std::vector<double> merged_tls;
   std::vector<double>& merged = merged_tls;
   merged.clear();
-  if (references.pruned()) {
-    thread_local std::vector<double> dist_scratch;
-    detail::scan_pruned_tile(references, embedding.data(), 1, references.dim(), 0, 1,
-                             [&](std::size_t, const ShardView& shard, std::size_t,
-                                 const float* dots) {
-                               shard_smallest(shard, dots, qnorm, k + 1, dist_scratch, merged);
-                             });
-    return std::sqrt(merged_kth(merged, k));
-  }
   if (n_shards == 1) {
     const ShardView shard = references.shard_view(0);
     thread_local std::vector<float> dots;
@@ -133,6 +132,35 @@ std::vector<double> OpenWorldDetector::kth_distances(const ReferenceStore& refer
   const std::size_t n_shards = references.shard_count();
   const std::size_t k = std::min(neighbour, n) - 1;
 
+  if (references.pruned()) {
+    // Cell-major batch scan (core/probe_scan.hpp): each pair keeps its
+    // cell's min(k + 1, rows) smallest distances, then each query's lists
+    // are merged, in parallel over queries.
+    const detail::CellPlan plan = detail::plan_cells(references, embeddings.data(), m, dim, 0, 1);
+    std::vector<std::vector<double>> smallest(plan.groups());  // slots x kept, per group
+    detail::scan_cells(references, plan, embeddings.data(), dim,
+                       [&](std::size_t g, const ShardView& cell, const float* dots) {
+                         thread_local std::vector<double> dist_scratch;
+                         for (std::size_t i = 0; i < plan.group_size(g); ++i) {
+                           const std::size_t q = plan.pair_query[plan.group_begin[g] + i];
+                           shard_smallest(cell, dots + i * cell.rows, plan.qnorms[q], k + 1,
+                                          dist_scratch, smallest[g]);
+                         }
+                       });
+    util::global_pool().parallel_for(0, m, [&](std::size_t q) {
+      thread_local std::vector<double> merged;
+      merged.clear();
+      for (const std::uint32_t p : plan.pairs_of(q)) {
+        const std::size_t g = plan.pair_group[p];
+        const std::size_t kept = smallest[g].size() / plan.group_size(g);
+        const auto first = smallest[g].begin() + static_cast<std::ptrdiff_t>(plan.slot_of(p) * kept);
+        merged.insert(merged.end(), first, first + static_cast<std::ptrdiff_t>(kept));
+      }
+      result[q] = std::sqrt(merged_kth(merged, k));
+    });
+    return result;
+  }
+
   util::global_pool().parallel_blocks(0, m, kQueryBlock, [&](std::size_t lo, std::size_t hi) {
     thread_local std::vector<float> dots;
     thread_local std::vector<double> dist_scratch;
@@ -147,24 +175,15 @@ std::vector<double> OpenWorldDetector::kth_distances(const ReferenceStore& refer
         merged[q].clear();
         qnorms[q] = nn::squared_norm(embeddings.data() + (t0 + q) * dim, dim);
       }
-      if (references.pruned()) {
-        detail::scan_pruned_tile(references, embeddings.data() + t0 * dim, rows, dim, 0, 1,
-                                 [&](std::size_t, const ShardView& shard, std::size_t q,
-                                     const float* dots_row) {
-                                   shard_smallest(shard, dots_row, qnorms[q], k + 1,
-                                                  dist_scratch, merged[q]);
-                                 });
-      } else {
-        for (std::size_t s = 0; s < n_shards; ++s) {
-          const ShardView shard = references.shard_view(s);
-          if (shard.rows == 0) continue;
-          dots.resize(rows * shard.rows);
-          nn::gemm_nt_serial(embeddings.data() + t0 * dim, rows, shard.data, shard.rows, dim,
-                             dots.data());
-          for (std::size_t q = 0; q < rows; ++q)
-            shard_smallest(shard, dots.data() + q * shard.rows, qnorms[q], k + 1, dist_scratch,
-                           merged[q]);
-        }
+      for (std::size_t s = 0; s < n_shards; ++s) {
+        const ShardView shard = references.shard_view(s);
+        if (shard.rows == 0) continue;
+        dots.resize(rows * shard.rows);
+        nn::gemm_nt_serial(embeddings.data() + t0 * dim, rows, shard.data, shard.rows, dim,
+                           dots.data());
+        for (std::size_t q = 0; q < rows; ++q)
+          shard_smallest(shard, dots.data() + q * shard.rows, qnorms[q], k + 1, dist_scratch,
+                         merged[q]);
       }
       for (std::size_t q = 0; q < rows; ++q)
         result[t0 + q] = std::sqrt(merged_kth(merged[q], k));

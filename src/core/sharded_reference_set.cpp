@@ -44,42 +44,11 @@ void ShardedReferenceSet::add_all(const nn::Matrix& embeddings, const std::vecto
 }
 
 void ShardedReferenceSet::remove_class(int label) {
-  for (Shard& shard : shards_) {
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < shard.labels.size(); ++read) {
-      if (shard.labels[read] == label) continue;
-      if (write != read) {
-        std::copy(shard.data.begin() + static_cast<std::ptrdiff_t>(read * dim_),
-                  shard.data.begin() + static_cast<std::ptrdiff_t>((read + 1) * dim_),
-                  shard.data.begin() + static_cast<std::ptrdiff_t>(write * dim_));
-        shard.labels[write] = shard.labels[read];
-        shard.sq_norms[write] = shard.sq_norms[read];
-        shard.row_ids[write] = shard.row_ids[read];
-      }
-      ++write;
-    }
-    shard.labels.resize(write);
-    shard.data.resize(write * dim_);
-    shard.sq_norms.resize(write);
-    shard.class_ids.resize(write);
-    shard.row_ids.resize(write);
-  }
-  rebuild_class_ids();
-}
-
-void ShardedReferenceSet::rebuild_class_ids() {
-  label_to_id_.clear();
-  id_to_label_.clear();
-  size_ = 0;
-  for (Shard& shard : shards_) {
-    size_ += shard.labels.size();
-    for (std::size_t i = 0; i < shard.labels.size(); ++i) {
-      const auto [it, inserted] =
-          label_to_id_.try_emplace(shard.labels[i], static_cast<int>(id_to_label_.size()));
-      if (inserted) id_to_label_.push_back(shard.labels[i]);
-      shard.class_ids[i] = it->second;
-    }
-  }
+  const auto found = label_to_id_.find(label);
+  if (found == label_to_id_.end()) return;
+  const int gone = found->second;
+  for (Shard& shard : shards_) size_ -= detail::drop_class_rows(shard, dim_, gone);
+  detail::drop_class_id(id_to_label_, label_to_id_, gone);
 }
 
 ShardedReferenceSet::ShardTables ShardedReferenceSet::shard_tables(std::size_t shard) const {

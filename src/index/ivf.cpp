@@ -312,46 +312,14 @@ std::size_t IvfReferenceStore::nearest_centroid(const float* row) const {
 }
 
 void IvfReferenceStore::remove_class(int label) {
-  if (label_to_id_.find(label) == label_to_id_.end()) return;
+  const auto found = label_to_id_.find(label);
+  if (found == label_to_id_.end()) return;
+  const int gone = found->second;
   std::size_t removed = 0;
-  for (Cell& cell : cells_) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < cell.rows(); ++i) {
-      if (cell.labels[i] == label) continue;
-      if (keep != i) {
-        std::copy_n(cell.data.data() + i * dim_, dim_, cell.data.data() + keep * dim_);
-        cell.sq_norms[keep] = cell.sq_norms[i];
-        cell.class_ids[keep] = cell.class_ids[i];
-        cell.row_ids[keep] = cell.row_ids[i];
-        cell.labels[keep] = cell.labels[i];
-      }
-      ++keep;
-    }
-    removed += cell.rows() - keep;
-    cell.data.resize(keep * dim_);
-    cell.sq_norms.resize(keep);
-    cell.class_ids.resize(keep);
-    cell.row_ids.resize(keep);
-    cell.labels.resize(keep);
-  }
+  for (Cell& cell : cells_) removed += core::detail::drop_class_rows(cell, dim_, gone);
+  core::detail::drop_class_id(id_to_label_, label_to_id_, gone);
   size_ -= removed;
   churn_ += removed;
-  rebuild_class_ids();
-}
-
-void IvfReferenceStore::rebuild_class_ids() {
-  // Re-derive the dense id space in cell-then-row order, exactly like the
-  // sharded store after a removal: ids stay dense, labels stay attached.
-  id_to_label_.clear();
-  label_to_id_.clear();
-  for (Cell& cell : cells_) {
-    for (std::size_t i = 0; i < cell.rows(); ++i) {
-      const auto [it, inserted] =
-          label_to_id_.try_emplace(cell.labels[i], static_cast<int>(id_to_label_.size()));
-      if (inserted) id_to_label_.push_back(cell.labels[i]);
-      cell.class_ids[i] = it->second;
-    }
-  }
 }
 
 void IvfReferenceStore::rebuild() {

@@ -1,7 +1,8 @@
 // wf::obs: counter/gauge basics, histogram bucket + quantile exactness vs a
 // sorted-vector oracle, registry kind checks, multi-threaded counter/span
-// recording (exercised under the TSan preset), and snapshot determinism
-// (same seed -> byte-identical CSV).
+// recording (exercised under the TSan preset), snapshot determinism
+// (same seed -> byte-identical CSV), and the pruned k-NN path's phase spans
+// (probe, scan, finalize: recorded with obs on, output byte-identical off).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -9,6 +10,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/knn.hpp"
+#include "core/sharded_reference_set.hpp"
+#include "index/ivf.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_common.hpp"
@@ -253,6 +257,65 @@ void test_snapshot_determinism() {
   std::remove(path_b.c_str());
 }
 
+// rank_batch on a pruned store records one probe, one scan and one finalize
+// span per call; with obs off it records nothing, and the rankings are the
+// same bytes either way.
+void test_rank_phase_spans() {
+  const bool was_enabled = wf::obs::enabled();
+  constexpr std::size_t kDim = 8;
+  wf::util::Rng rng(4242);
+  wf::core::ShardedReferenceSet base(kDim, 1);
+  std::vector<float> row(kDim);
+  for (int i = 0; i < 300; ++i) {
+    for (float& x : row) x = static_cast<float>(rng.normal());
+    base.add(row, i % 25);
+  }
+  wf::index::IvfConfig config;
+  config.clusters = 8;
+  config.probes = 2;
+  const wf::index::IvfReferenceStore store(base, config);
+  wf::nn::Matrix queries(40, kDim);
+  for (std::size_t q = 0; q < queries.rows(); ++q)
+    for (float& x : queries.row(q)) x = static_cast<float>(rng.normal());
+  const wf::core::KnnClassifier knn(5);
+  const char* phases[] = {"span.probe", "span.scan", "span.finalize"};
+
+  wf::obs::set_enabled(false);
+  wf::obs::clear_spans();
+  Registry::global().reset();
+  const auto off = knn.rank_batch(store, queries);
+  CHECK(wf::obs::recent_spans().empty());
+  for (const char* phase : phases) {
+    const SnapshotEntry* entry = Registry::global().snapshot().find(phase);
+    CHECK(entry == nullptr || entry->count == 0);
+  }
+
+  wf::obs::set_enabled(true);
+  const auto on = knn.rank_batch(store, queries);
+  const Snapshot snapshot = Registry::global().snapshot();
+  for (const char* phase : phases) {
+    const SnapshotEntry* entry = snapshot.find(phase);
+    CHECK(entry != nullptr && entry->count == 1);  // once per call
+  }
+  const std::vector<wf::obs::SpanRecord> spans = wf::obs::recent_spans();
+  std::vector<std::string> names;
+  names.reserve(spans.size());
+  for (const wf::obs::SpanRecord& span : spans) names.push_back(span.name);
+  CHECK((names == std::vector<std::string>{"probe", "scan", "finalize"}));
+
+  CHECK(off.size() == on.size());
+  for (std::size_t q = 0; q < off.size() && q < on.size(); ++q) {
+    CHECK(off[q].size() == on[q].size());
+    for (std::size_t i = 0; i < off[q].size() && i < on[q].size(); ++i) {
+      CHECK(off[q][i].label == on[q][i].label);
+      CHECK(off[q][i].votes == on[q][i].votes);
+      CHECK(off[q][i].distance == on[q][i].distance);
+    }
+  }
+  wf::obs::clear_spans();
+  wf::obs::set_enabled(was_enabled);
+}
+
 }  // namespace
 
 int main() {
@@ -263,5 +326,6 @@ int main() {
   test_multithreaded_counters();
   test_spans();
   test_snapshot_determinism();
+  test_rank_phase_spans();
   return TEST_MAIN_RESULT();
 }
