@@ -8,10 +8,8 @@
 //
 //   probe — probe_shards() for every query of the call, in parallel;
 //   plan  — the (cell, query) pairs grouped by cell with a counting sort, so
-//           each probed cell appears once with every query that probes it
-//           (a cell holding more than 1/threads of the call's work is cut
-//           into consecutive groups, so it cannot pin the scan to a thread);
-//   scan  — the groups split over the pool: one GEMM per group over all of
+//           each probed cell forms one group with every query that probes it;
+//   scan  — the groups split over the pool: one GEMM per cell over all of
 //           its queries, then the caller's per-group kernel keeps each
 //           pair's small result (its k best, its per-class minima);
 //   fold  — the caller folds each query's pairs, in parallel over queries.
@@ -21,7 +19,7 @@
 // O(queries x classes).
 //
 // Determinism: each pair's result depends only on its query and cell, not
-// on how pairs are grouped. Groups are in ascending cell order, queries
+// on the other queries that probe the same cell. Groups are in ascending cell order, queries
 // ascending within a cell, and each query's pairs ascending by cell — the
 // order in which an exhaustive scan meets the same shards. The downstream
 // merges are order-independent anyway (unique (dist, insertion-id) keys,
@@ -31,9 +29,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/reference_store.hpp"
@@ -70,19 +66,12 @@ CellPlan plan_cells(const ReferenceStore& refs, const float* queries, std::size_
 // the groups, where dots is group_size(g) x cell_view.rows: row i holds the
 // dot products of the group's i-th query (plan.pair_query[group_begin[g] + i])
 // against every row of the cell.
-// Groups are handed out largest first (rows x queries), so the long ones
-// never start last.
 template <typename ScanCell>
 void scan_cells(const ReferenceStore& refs, const CellPlan& plan, const float* queries,
                 std::size_t dim, ScanCell&& scan_cell) {
-  std::vector<std::pair<std::size_t, std::size_t>> order(plan.groups());  // (work, group)
-  for (std::size_t g = 0; g < plan.groups(); ++g)
-    order[g] = {plan.group_size(g) * refs.shard_view(plan.cells[g]).rows, g};
-  std::sort(order.begin(), order.end(), std::greater<>());
-  util::global_pool().parallel_for(0, order.size(), [&](std::size_t i) {
+  util::global_pool().parallel_for(0, plan.groups(), [&](std::size_t g) {
     thread_local std::vector<float> gathered;
     thread_local std::vector<float> dots;
-    const std::size_t g = order[i].second;
     const ShardView cell = refs.shard_view(plan.cells[g]);
     const std::size_t first = plan.group_begin[g];
     const std::size_t n = plan.group_size(g);

@@ -105,10 +105,11 @@ bool ranks_before(const RankedLabel& a, const RankedLabel& b) {
   return a.label < b.label;
 }
 
-// Sorts by ranks_before. Voted classes rank first whatever their distance,
-// so the (at most k) voted entries and the long unvoted part sort apart:
-// the same order, with the votes comparison dropped from the long part.
-void sort_ranking(std::vector<RankedLabel>& out) {
+// Sorts the touched classes of a sparse ranking by ranks_before. Voted
+// classes rank first whatever their distance, so the (at most k) voted
+// entries and the long unvoted part sort apart: the same order, with the
+// votes comparison dropped from the long part.
+void sort_touched(std::vector<RankedLabel>& out) {
   const auto voted = std::partition(out.begin(), out.end(),
                                     [](const RankedLabel& r) { return r.votes > 0; });
   std::sort(out.begin(), voted, ranks_before);
@@ -134,7 +135,8 @@ void finalize_dense(const ReferenceStore& refs, std::size_t k, std::vector<Candi
   out.reserve(n_ids);
   for (std::size_t id = 0; id < n_ids; ++id)
     out.push_back({refs.label_of_id(id), votes[id], best[id]});
-  sort_ranking(out);
+  std::sort(out.begin(), out.end(),
+            [](const RankedLabel& a, const RankedLabel& b) { return ranks_before(a, b); });
 }
 
 // Per-thread dense class state for the sparse finalize, sized to the
@@ -229,7 +231,7 @@ void finalize_sparse(std::span<const int> labels, LabelOrder& order, std::size_t
     out.push_back({labels[i], cs.votes[i], cs.best[i]});
     cs.mark[i] = ClassState::kRanked;
   }
-  sort_ranking(out);
+  sort_touched(out);
   if (out.size() < labels.size())
     for (const int id : order.ids())
       if (cs.mark[static_cast<std::size_t>(id)] != ClassState::kRanked)
@@ -377,15 +379,15 @@ std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
     // folded into sparse class state and finalized, in parallel over queries.
     detail::CellPlan plan;
     {
-      const obs::Span span("probe");
+      const obs::Span span("rank.probe");
       plan = detail::plan_cells(references, queries.data(), m, dim, 0, 1);
     }
     std::vector<CellHits> hits;
     {
-      const obs::Span span("scan");
+      const obs::Span span("rank.scan");
       hits = scan_knn_cells(references, plan, queries.data(), k);
     }
-    const obs::Span span("finalize");
+    const obs::Span span("rank.finalize");
     std::vector<int> labels(n_ids);
     for (std::size_t id = 0; id < n_ids; ++id) labels[id] = references.label_of_id(id);
     LabelOrder order(labels);

@@ -18,39 +18,23 @@ CellPlan plan_cells(const ReferenceStore& refs, const float* queries, std::size_
     refs.probe_shards({query, dim}, probes[q]);
   });
 
-  // Counting sort of the (cell, query) pairs by cell. Cells outside the
-  // slice or without rows form no group.
+  // Counting sort of the (cell, query) pairs by cell: one group per probed
+  // cell. Cells outside the slice or without rows form no group.
   constexpr std::size_t kNone = ~std::size_t{0};
   const std::size_t n_shards = refs.shard_count();
   std::vector<std::size_t> count(n_shards, 0);
-  std::vector<std::size_t> rows_of(n_shards, 0);
-  std::size_t work = 0;  // rows scanned by the whole call
   for (const std::vector<std::size_t>& probed : probes)
     for (const std::size_t s : probed) {
       WF_CHECK(s < n_shards, "plan_cells: probe_shards returned an out-of-range shard");
       if (s % slice_count == slice_index) ++count[s];
     }
-  for (std::size_t s = 0; s < n_shards; ++s)
-    if (count[s] > 0) {
-      rows_of[s] = refs.shard_view(s).rows;
-      work += count[s] * rows_of[s];
-    }
-
-  // A cell probed by much of the batch is split into consecutive groups, so
-  // no group carries more than 1/threads of the call's work: otherwise one
-  // popular cell pins the scan phase to a single thread.
-  const std::size_t threads = util::global_pool().size();
-  const std::size_t limit = std::max<std::size_t>(1, (work + threads - 1) / threads);
   std::vector<std::size_t> cursor(n_shards, kNone);  // next pair slot of each cell
   plan.group_begin.push_back(0);
   for (std::size_t s = 0; s < n_shards; ++s) {
-    if (count[s] == 0 || rows_of[s] == 0) continue;
+    if (count[s] == 0 || refs.shard_view(s).rows == 0) continue;
     cursor[s] = plan.group_begin.back();
-    const std::size_t parts = std::min(count[s], (count[s] * rows_of[s] + limit - 1) / limit);
-    for (std::size_t part = 0; part < parts; ++part) {
-      plan.cells.push_back(s);
-      plan.group_begin.push_back(cursor[s] + count[s] * (part + 1) / parts);
-    }
+    plan.cells.push_back(s);
+    plan.group_begin.push_back(cursor[s] + count[s]);
   }
   const std::size_t n_pairs = plan.group_begin.back();
   WF_CHECK(n_pairs <= std::numeric_limits<std::uint32_t>::max() &&

@@ -278,7 +278,7 @@ void test_rank_phase_spans() {
   for (std::size_t q = 0; q < queries.rows(); ++q)
     for (float& x : queries.row(q)) x = static_cast<float>(rng.normal());
   const wf::core::KnnClassifier knn(5);
-  const char* phases[] = {"span.probe", "span.scan", "span.finalize"};
+  const char* phases[] = {"span.rank.probe", "span.rank.scan", "span.rank.finalize"};
 
   wf::obs::set_enabled(false);
   wf::obs::clear_spans();
@@ -301,7 +301,7 @@ void test_rank_phase_spans() {
   std::vector<std::string> names;
   names.reserve(spans.size());
   for (const wf::obs::SpanRecord& span : spans) names.push_back(span.name);
-  CHECK((names == std::vector<std::string>{"probe", "scan", "finalize"}));
+  CHECK((names == std::vector<std::string>{"rank.probe", "rank.scan", "rank.finalize"}));
 
   CHECK(off.size() == on.size());
   for (std::size_t q = 0; q < off.size() && q < on.size(); ++q) {
